@@ -14,6 +14,7 @@ with budgets scaled by ``MEMORY_SCALE``.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -61,14 +62,15 @@ def write_bench_json(filename: str, params: dict, results) -> Path:
     """Write one machine-readable bench result to the repository root.
 
     Uniform schema across the ``BENCH_*.json`` files: ``run_date``
-    (ISO 8601, local time), ``params`` (the knobs that shaped the run)
-    and ``results`` (whatever the bench measured — Mops, percentiles,
-    overhead ratios).  Values must already be JSON-safe.
+    (ISO 8601, local time), ``params`` (the knobs that shaped the run,
+    plus the machine's ``cpu_count``) and ``results`` (whatever the
+    bench measured — Mops, percentiles, overhead ratios).  Values must
+    already be JSON-safe.
     """
     path = REPO_ROOT / filename
     payload = {
         "run_date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "params": params,
+        "params": {**params, "cpu_count": os.cpu_count()},
         "results": results,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -6,7 +6,7 @@ mode -- all per-item decisions happen once per window on complete
 counts -- but every Stage-1 step is a numpy batch operation over the
 window's distinct untracked items:
 
-1. position gather for the whole batch (cached per item),
+1. position gather for the whole batch,
 2. one ``np.add.at`` bulk counter update per level,
 3. one fancy-indexed gather for the ``s``-window estimates,
 4. one matrix multiply against the cached pseudo-inverse for all fits,
@@ -166,9 +166,7 @@ class VectorizedXSketch:
 
     def run_window(self, items) -> List[SimplexReport]:
         """Convenience: buffer a whole window of arrivals, then close it."""
-        buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        self.ingest_batch(items)
         return self.end_window()
 
     @property

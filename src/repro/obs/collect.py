@@ -111,25 +111,6 @@ def collect_xsketch(sketch, registry: Optional[MetricsRegistry] = None) -> Metri
                 "xsketch_stage1_saturated_counters",
                 "Stage-1 sub-counters sitting at their overflow marker",
             ).inc(saturated())
-    cache_info = getattr(getattr(sketch, "tower", None), "cache_info", None)
-    if cache_info is not None:
-        info = cache_info()
-        registry.counter(
-            "vectorized_hash_cache_hits_total",
-            "batched position lookups answered from the bounded hash cache",
-        ).inc(info["hits"])
-        registry.counter(
-            "vectorized_hash_cache_misses_total",
-            "batched position lookups that recomputed hash rows",
-        ).inc(info["misses"])
-        registry.counter(
-            "vectorized_hash_cache_evictions_total",
-            "hash-cache entries evicted by the LRU capacity bound",
-        ).inc(info["evictions"])
-        registry.gauge(
-            "vectorized_hash_cache_entries",
-            "items currently resident in the bounded hash cache",
-        ).inc(info["size"])
     recorder = getattr(sketch, "recorder", None)
     if recorder is not None and recorder.registry is not None:
         registry.merge(recorder.registry)

@@ -16,10 +16,7 @@ seed folds out of the CRC via its affine property --
 one C-speed ``zlib.crc32`` call per item plus a vectorized xor /
 finalization / modulo per level, bit-identical to the scalar
 :meth:`~repro.hashing.family.CrcHashFamily.hash32`.  Other families
-fall back to the per-item loop.  Computed rows are memoized in a
-bounded LRU cache (:attr:`DEFAULT_POS_CACHE_CAPACITY` items by
-default); hit/miss/eviction counts surface as the
-``vectorized_hash_cache_*`` metrics via :meth:`cache_info`.
+fall back to the per-item loop.
 """
 
 from __future__ import annotations
@@ -36,11 +33,6 @@ from repro.sketch.tower import tower_level_widths
 #: Sentinel larger than any counter value, used to mask overflow reads.
 _BIG = np.int64(1) << 40
 
-#: Default bound on the position cache (distinct items memoized).  At
-#: ``d=3`` a full cache is ~a few MB of tuples -- bounded working
-#: storage, not sketch state, so it is not part of ``memory_bytes``.
-DEFAULT_POS_CACHE_CAPACITY = 65536
-
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MIX = np.uint64(0x85EBCA6B)
 
@@ -55,9 +47,6 @@ class VectorizedTower:
         d: number of levels / hash functions.
         update_rule: ``"cm"`` (exact) or ``"cu"`` (order-independent
             approximation).
-        pos_cache_capacity: bound on the memoized position rows; least
-            recently used entries are evicted past it (0 disables
-            caching entirely).
     """
 
     def __init__(
@@ -69,16 +58,11 @@ class VectorizedTower:
         family: HashFamily = None,
         seed: int = 0,
         hash_family: str = "crc",
-        pos_cache_capacity: int = DEFAULT_POS_CACHE_CAPACITY,
     ):
         if s <= 0:
             raise ConfigurationError(f"s must be positive, got {s}")
         if update_rule not in ("cm", "cu"):
             raise ConfigurationError(f"update_rule must be 'cm' or 'cu', got {update_rule!r}")
-        if pos_cache_capacity < 0:
-            raise ConfigurationError(
-                f"pos_cache_capacity must be >= 0, got {pos_cache_capacity}"
-            )
         self.s = s
         self.d = d
         self.update_rule = update_rule
@@ -96,11 +80,6 @@ class VectorizedTower:
             self.levels.append(np.zeros((n_logical, s), dtype=np.int64))
             self.max_values.append((1 << bits) - 1)
             self.level_counters.append(n_logical)
-        self.pos_cache_capacity = pos_cache_capacity
-        self._pos_cache: Dict[ItemId, Tuple[int, ...]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
         #: per-(level, byte-length) CRC seed constants for batched hashing
         self._crc_consts: Dict[Tuple[int, int], int] = {}
 
@@ -109,53 +88,16 @@ class VectorizedTower:
 
     def positions(self, items: Sequence[ItemId]) -> np.ndarray:
         """Hash positions per level for a batch of items: ``(n, d)``."""
-        n = len(items)
-        out = np.empty((n, self.d), dtype=np.int64)
-        if n == 0:
-            return out
-        cache = self._pos_cache
-        capacity = self.pos_cache_capacity
-        miss_items: List[ItemId] = []
-        miss_rows: List[int] = []
-        hits = 0
-        for row, item in enumerate(items):
-            cached = cache.get(item)
-            if cached is None:
-                miss_items.append(item)
-                miss_rows.append(row)
-            else:
-                out[row] = cached
-                # refresh recency so hot items survive eviction (LRU)
-                cache[item] = cache.pop(item)
-                hits += 1
-        self.cache_hits += hits
-        self.cache_misses += len(miss_items)
-        if miss_items:
-            hashed = self._hash_rows(miss_items)
-            out[miss_rows] = hashed
-            if capacity > 0:
-                for item, row in zip(miss_items, hashed):
-                    cache[item] = tuple(int(v) for v in row)
-                overflow = len(cache) - capacity
-                if overflow > 0:
-                    iterator = iter(cache)
-                    for key in [next(iterator) for _ in range(overflow)]:
-                        del cache[key]
-                    self.cache_evictions += overflow
-        return out
-
-    def _hash_rows(self, items: Sequence[ItemId]) -> np.ndarray:
-        """Fresh position rows for ``items`` (no cache involvement)."""
+        if len(items) == 0:
+            return np.empty((0, self.d), dtype=np.int64)
         if isinstance(self.family, CrcHashFamily):
-            return self._hash_rows_crc(items)
+            return self._positions_crc(items)
         family = self.family
         counters = self.level_counters
-        d = self.d
-        rows = [
-            tuple(family.hash32(item, i) % counters[i] for i in range(d))
-            for item in items
-        ]
-        return np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
+        return np.array(
+            [[family.hash32(item, i) % counters[i] for i in range(self.d)] for item in items],
+            dtype=np.int64,
+        )
 
     def _crc_const(self, index: int, length: int) -> int:
         """``crc32(0^length, derived_seed) ^ crc32(0^length, 0)``, memoized."""
@@ -167,40 +109,25 @@ class VectorizedTower:
             self._crc_consts[key] = const
         return const
 
-    def _hash_rows_crc(self, items: Sequence[ItemId]) -> np.ndarray:
+    def _positions_crc(self, items: Sequence[ItemId]) -> np.ndarray:
         """Batched CRC positions, bit-identical to the scalar family."""
-        n = len(items)
-        bases = np.empty(n, dtype=np.uint64)
-        lengths = np.empty(n, dtype=np.int64)
-        for row, item in enumerate(items):
-            encoded = encode_item(item)
-            bases[row] = zlib.crc32(encoded)
-            lengths[row] = len(encoded)
-        unique_lengths = np.unique(lengths)
+        encoded = [encode_item(item) for item in items]
+        n = len(encoded)
+        bases = np.fromiter(map(zlib.crc32, encoded), dtype=np.uint64, count=n)
+        lengths, length_index = np.unique(
+            np.fromiter(map(len, encoded), dtype=np.int64, count=n), return_inverse=True
+        )
         rows = np.empty((n, self.d), dtype=np.int64)
-        consts = np.empty(n, dtype=np.uint64)
         for index in range(self.d):
-            if unique_lengths.shape[0] == 1:
-                consts[:] = self._crc_const(index, int(unique_lengths[0]))
-            else:
-                for length in unique_lengths:
-                    consts[lengths == length] = self._crc_const(index, int(length))
-            raw = bases ^ consts
+            consts = np.array(
+                [self._crc_const(index, int(length)) for length in lengths], dtype=np.uint64
+            )
+            raw = bases ^ consts[length_index]
             raw ^= raw >> np.uint64(16)
             raw = (raw * _MIX) & _MASK32
             raw ^= raw >> np.uint64(13)
             rows[:, index] = (raw % np.uint64(self.level_counters[index])).astype(np.int64)
         return rows
-
-    def cache_info(self) -> Dict[str, int]:
-        """Position-cache effectiveness counters (metrics source)."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            "size": len(self._pos_cache),
-            "capacity": self.pos_cache_capacity,
-        }
 
     # ------------------------------------------------------------------
     # counter updates and queries

@@ -134,7 +134,7 @@ class TestBatchedPositionHashing:
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_crc_rows_match_scalar_hash32(self, seed):
         tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=seed)
-        rows = tower._hash_rows(self.ITEMS)
+        rows = tower.positions(self.ITEMS)
         for row, item in zip(rows, self.ITEMS):
             for index in range(tower.d):
                 expected = tower.family.hash32(item, index) % tower.level_counters[index]
@@ -143,55 +143,27 @@ class TestBatchedPositionHashing:
     @pytest.mark.parametrize("name", ["bob", "murmur"])
     def test_fallback_families_match_scalar_hash32(self, name):
         tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=3, hash_family=name)
-        rows = tower._hash_rows(self.ITEMS)
+        rows = tower.positions(self.ITEMS)
         for row, item in zip(rows, self.ITEMS):
             for index in range(tower.d):
                 expected = tower.family.hash32(item, index) % tower.level_counters[index]
                 assert int(row[index]) == expected
 
-    def test_positions_bypass_and_cache_agree(self):
-        """Cached reads return exactly what the fresh hash computed."""
+    def test_repeated_batches_hash_identically(self):
         tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=1)
         first = tower.positions(self.ITEMS)
-        second = tower.positions(self.ITEMS)  # all hits now
+        second = tower.positions(self.ITEMS)
         assert (first == second).all()
-        assert tower.cache_info()["hits"] == len(self.ITEMS)
 
-
-class TestPositionCache:
-    def test_capacity_bound_and_eviction_count(self):
-        tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=1, pos_cache_capacity=10)
-        tower.positions([f"i{j}" for j in range(25)])
-        info = tower.cache_info()
-        assert info["size"] == 10
-        assert info["evictions"] == 15
-        assert info["misses"] == 25
-        assert info["capacity"] == 10
-
-    def test_lru_refresh_keeps_hot_items(self):
-        tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=1, pos_cache_capacity=4)
-        tower.positions(["a", "b", "c", "d"])
-        tower.positions(["a"])  # refresh "a"; "b" is now the oldest
-        tower.positions(["e"])  # evicts exactly one: "b"
-        hits_before = tower.cache_info()["hits"]
-        tower.positions(["a"])
-        assert tower.cache_info()["hits"] == hits_before + 1
-        misses_before = tower.cache_info()["misses"]
-        tower.positions(["b"])
-        assert tower.cache_info()["misses"] == misses_before + 1
-
-    def test_zero_capacity_disables_caching(self):
-        tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=1, pos_cache_capacity=0)
-        tower.positions(["a", "b"])
-        tower.positions(["a", "b"])
-        info = tower.cache_info()
-        assert info["size"] == 0
-        assert info["hits"] == 0
-        assert info["misses"] == 4
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VectorizedTower(memory_bytes=20000, s=4, d=3, pos_cache_capacity=-1)
+    @pytest.mark.parametrize("name", ["crc", "bob"])
+    def test_empty_batch_has_level_columns(self, name):
+        tower = VectorizedTower(memory_bytes=20000, s=4, d=3, seed=1, hash_family=name)
+        for empty in ([], (), np.array([], dtype=np.int64)):
+            rows = tower.positions(empty)
+            assert rows.shape == (0, tower.d)
+            assert rows.dtype == np.int64
+        tower.bulk_insert(rows, np.zeros(0, dtype=np.int64), 0)
+        assert tower.query_recent(rows, [0, 1]).shape == (0, 2)
 
 
 class TestVectorizedTowerMerge:

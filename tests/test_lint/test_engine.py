@@ -25,7 +25,18 @@ from repro.lint.registry import get_rule, select_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: the trees the CI lint job checks
+REPO_LINT_PATHS = ("src", "tests", "benchmarks", "examples")
+
 _ASSERT_SNIPPET = "def check(x):\n    assert x > 0\n"
+
+
+@pytest.fixture(scope="module")
+def repo_lint():
+    """One whole-repo lint run, shared by the tests that inspect it."""
+    engine = LintEngine(root=REPO_ROOT)
+    findings = engine.run([REPO_ROOT / part for part in REPO_LINT_PATHS])
+    return engine, findings
 
 
 def _write_module(directory: Path, name: str, source: str) -> Path:
@@ -126,9 +137,9 @@ def test_stale_baseline_fails_strict(tmp_path):
         "lint-baseline.txt",
         "assert-stmt src/repro/core/clean.py::check  # gone\n",
     )
-    code, _ = run_lint(["src"], root=tmp_path, strict=True)
+    code, _ = run_lint([str(tmp_path / "src")], root=tmp_path, strict=True)
     assert code == 1
-    code, _ = run_lint(["src"], root=tmp_path, strict=False)
+    code, _ = run_lint([str(tmp_path / "src")], root=tmp_path, strict=False)
     assert code == 0
 
 
@@ -279,22 +290,18 @@ def test_render_github_reports_parse_errors_and_stale_entries(tmp_path):
     assert report.splitlines()[0].startswith("::error title=lint::")
 
 
-def test_cli_lint_github_format(monkeypatch, capsys):
-    monkeypatch.chdir(REPO_ROOT)
-    code = main(["lint", "--strict", "--format", "github", "src"])
-    out = capsys.readouterr().out
-    assert code == 0, out
+def test_cli_lint_github_format(repo_lint):
+    engine, findings = repo_lint
+    out = render_github(findings, engine)
+    assert not (findings or engine.errors or engine.stale_baseline), out
     assert "::error" not in out
 
 
-def test_repo_baseline_has_no_stale_entries():
+def test_repo_baseline_has_no_stale_entries(repo_lint):
     """The baseline may only shrink: every entry must still match a
     live finding on today's tree (delete entries whose finding is
     fixed — run ``repro lint --strict`` to see which)."""
-    engine = LintEngine(root=REPO_ROOT)
-    engine.run(
-        [REPO_ROOT / part for part in ("src", "tests", "benchmarks", "examples")]
-    )
+    engine, _ = repo_lint
     assert engine.errors == []
     assert engine.stale_baseline == []
 
@@ -305,19 +312,16 @@ def test_repo_baseline_has_no_stale_entries():
 
 def test_cli_lint_strict_clean_repo_exits_zero(monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
-    code = main(
-        ["lint", "--strict", "src", "tests", "benchmarks", "examples"]
-    )
+    code = main(["lint", "--strict", *REPO_LINT_PATHS])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "0 error(s)" in out
 
 
-def test_cli_lint_json_format(monkeypatch, capsys):
-    monkeypatch.chdir(REPO_ROOT)
-    code = main(["lint", "--strict", "--format", "json", "src"])
-    out = capsys.readouterr().out
-    assert code == 0, out
+def test_cli_lint_json_format(repo_lint):
+    engine, findings = repo_lint
+    out = render_json(findings, engine)
+    assert not (findings or engine.errors or engine.stale_baseline), out
     payload = json.loads(out)
     assert payload["summary"]["errors"] == 0
     assert payload["summary"]["stale_baseline"] == []

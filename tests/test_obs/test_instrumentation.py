@@ -160,23 +160,3 @@ class TestTowerOverflow:
         assert registry.value("xsketch_stage1_saturated_counters") == (
             sketch.stage1.filter.saturated_counters()
         )
-
-
-class TestVectorizedCacheMetrics:
-    def test_cache_counters_exported(self):
-        from repro.core.vectorized import VectorizedXSketch
-
-        sketch = VectorizedXSketch(_config(), seed=7)
-        for _ in range(3):
-            sketch.run_window([f"i{j % 25}" for j in range(300)])
-        registry = sketch.metrics_registry()
-        info = sketch.tower.cache_info()
-        assert registry.value("vectorized_hash_cache_hits_total") == info["hits"]
-        assert registry.value("vectorized_hash_cache_misses_total") == info["misses"]
-        assert registry.value("vectorized_hash_cache_evictions_total") == info["evictions"]
-        assert registry.value("vectorized_hash_cache_entries") == info["size"]
-        assert info["hits"] > 0 and info["misses"] > 0
-
-    def test_scalar_engines_do_not_export_cache_metrics(self):
-        sketch = _run(XSketch(_config(), seed=7), _windows(n=4))
-        assert sketch.metrics_registry().get("vectorized_hash_cache_hits_total") is None
