@@ -888,7 +888,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-seconds", type=float, default=None,
         help="also close windows on this wall-clock tick",
     )
-    serve.add_argument("--micro-batch", type=_positive_int, default=512)
+    serve.add_argument(
+        "--micro-batch", type=_positive_int, default=512,
+        help="items per engine ingest call, per-arrival engine only "
+             "(window-batched engines get one count map per window)",
+    )
     serve.add_argument(
         "--queue-batches", type=_positive_int, default=64,
         help="per-connection queue capacity in wire batches",

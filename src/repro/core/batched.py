@@ -25,7 +25,8 @@ higher because the hot loop is a dict increment.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from collections import Counter
+from typing import Dict, List, Mapping
 
 from repro.config import XSketchConfig
 from repro.core.reports import SimplexReport
@@ -43,6 +44,11 @@ class BatchedXSketch:
     ``run_window`` / ``reports`` / ``stats``) as
     :class:`~repro.core.xsketch.XSketch`.
     """
+
+    #: window-batched: arrival order inside a window does not matter
+    #: beyond first-arrival key order, so callers may hand over one
+    #: ``{item: count}`` map per window (:meth:`ingest_counts`)
+    counts_ingest = True
 
     def __init__(
         self,
@@ -75,11 +81,23 @@ class BatchedXSketch:
         buffer = self._buffer
         buffer[item] = buffer.get(item, 0) + 1
 
-    def ingest_batch(self, items) -> None:
-        """Buffer a batch of arrivals (the runtime/service hot path)."""
+    def ingest_counts(self, counts: Mapping[ItemId, int]) -> None:
+        """Buffer a ``{item: count}`` map (the runtime/service hot path).
+
+        The map's key order is the first-arrival order of its items; the
+        buffer keeps it, so the window flush visits items exactly as if
+        they had arrived one by one.
+        """
         buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        if not buffer:
+            buffer.update(counts)
+            return
+        for item, count in counts.items():
+            buffer[item] = buffer.get(item, 0) + count
+
+    def ingest_batch(self, items) -> None:
+        """Buffer a batch of arrivals (aggregated first, C-level)."""
+        self.ingest_counts(Counter(items))
 
     def end_window(self) -> List[SimplexReport]:
         """Flush the window buffer, then run the Stage-2 transition."""
@@ -105,9 +123,7 @@ class BatchedXSketch:
 
     def run_window(self, items) -> List[SimplexReport]:
         """Convenience: buffer a whole window of arrivals, then close it."""
-        buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        self.ingest_batch(items)
         return self.end_window()
 
     @property

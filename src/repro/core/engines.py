@@ -24,6 +24,11 @@ from repro.hashing.family import HashFamily
 #: Selectable runtime engines, in the order they appear in docs.
 ENGINE_NAMES = ("xsketch", "batched", "vectorized")
 
+#: Window-batched engines: each takes a whole window as one
+#: ``{key: count}`` map (their ``counts_ingest`` capability).  The
+#: per-arrival engine is order-sensitive within a window.
+COUNTS_ENGINES = ("batched", "vectorized")
+
 #: Engine that rebuilds each snapshot ``variant`` tag.
 VARIANT_TO_ENGINE = {
     "per-arrival": "xsketch",

@@ -60,8 +60,9 @@ def _counter_arrays_of(filter_) -> List[CounterArray]:
 def _stage1_arrays(sketch) -> List[List[int]]:
     """Flat per-level Stage-1 counter lists, engine-independent."""
     if isinstance(sketch, VectorizedXSketch):
-        # C-order flatten of (n_logical, s) == CounterArray's pos*s+slot
-        return [[int(v) for v in level.reshape(-1)] for level in sketch.tower.levels]
+        # C-order flatten of (n_logical, s) == CounterArray's pos*s+slot;
+        # tolist() yields the same Python ints as int(v) per element
+        return [level.reshape(-1).tolist() for level in sketch.tower.levels]
     return [list(array) for array in _counter_arrays_of(sketch.stage1.filter)]
 
 
@@ -119,7 +120,7 @@ def snapshot_xsketch(sketch, shard: Dict = None) -> Dict:
                     "counts": list(cell.counts),
                 }
             )
-    reports = [dataclasses.asdict(report) for report in sketch.reports]
+    reports = [_report_record(report) for report in sketch.reports]
     snapshot = {
         "format_version": FORMAT_VERSION,
         "variant": _VARIANTS.get(type(sketch), "per-arrival"),
@@ -187,6 +188,20 @@ def save_xsketch(sketch: XSketch, path: Union[str, Path]) -> None:
 def load_xsketch(path: Union[str, Path], seed: int = 0) -> XSketch:
     """Read a snapshot written by :func:`save_xsketch`."""
     return restore_xsketch(json.loads(Path(path).read_text()), seed=seed)
+
+
+def _report_record(report: SimplexReport) -> Dict:
+    """The snapshot record of one report: ``dataclasses.asdict`` output,
+    built directly (asdict deep-copies every field; the report history
+    grows every window and is snapshotted at every boundary)."""
+    return {
+        "item": report.item,
+        "start_window": report.start_window,
+        "report_window": report.report_window,
+        "lasting_time": report.lasting_time,
+        "coefficients": tuple(report.coefficients),
+        "mse": report.mse,
+    }
 
 
 def _report_kwargs(record: Dict) -> Dict:

@@ -28,7 +28,8 @@ order-independent bulk approximation (see
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from collections import Counter
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class VectorizedXSketch:
 
     Exposes the same stream protocol as the other engines.
     """
+
+    #: window-batched, like :class:`~repro.core.batched.BatchedXSketch`
+    counts_ingest = True
 
     def __init__(
         self,
@@ -101,11 +105,19 @@ class VectorizedXSketch:
         buffer = self._buffer
         buffer[item] = buffer.get(item, 0) + 1
 
-    def ingest_batch(self, items) -> None:
-        """Buffer a batch of arrivals (the runtime/service hot path)."""
+    def ingest_counts(self, counts: Mapping[ItemId, int]) -> None:
+        """Buffer a ``{item: count}`` map in first-arrival key order
+        (the runtime/service hot path)."""
         buffer = self._buffer
-        for item in items:
-            buffer[item] = buffer.get(item, 0) + 1
+        if not buffer:
+            buffer.update(counts)
+            return
+        for item, count in counts.items():
+            buffer[item] = buffer.get(item, 0) + count
+
+    def ingest_batch(self, items) -> None:
+        """Buffer a batch of arrivals (aggregated first, C-level)."""
+        self.ingest_counts(Counter(items))
 
     def end_window(self) -> List[SimplexReport]:
         """Flush the buffer through the batched Stage-1/Stage-2 pipeline."""

@@ -96,6 +96,11 @@ class XSketch:
             Potential / W_min / occupancy histograms and trace events.
     """
 
+    #: per-arrival: the Potential gate sees partial window counts, so
+    #: arrival order matters and a window cannot be handed over as a
+    #: ``{item: count}`` map (the window-batched engines set this True)
+    counts_ingest = False
+
     def __init__(
         self,
         config: XSketchConfig,

@@ -132,10 +132,11 @@ def collect_sharded(sharded, registry: Optional[MetricsRegistry] = None) -> Metr
         sharded.n_shards
     )
     registry.counter(
-        "runtime_items_routed_total", "arrivals routed by the partitioner"
+        "runtime_items_routed_total",
+        "arrivals routed by the partitioner (count-map engines: at window close)",
     ).inc(sum(sharded.items_routed))
     registry.counter(
-        "runtime_batches_sent_total", "ingest batches dispatched to shards"
+        "runtime_batches_sent_total", "ingest payloads dispatched to shards"
     ).inc(sum(sharded.batches_sent))
     registry.counter(
         "runtime_windows_total", "windows closed by the coordinator"
@@ -151,7 +152,7 @@ def collect_sharded(sharded, registry: Optional[MetricsRegistry] = None) -> Metr
     registry.counter(
         "runtime_items_lost_estimate",
         "items estimated lost across supervised restarts (dispatched since "
-        "the restored checkpoint minus salvaged queue batches)",
+        "the restored checkpoint minus salvaged queue payloads)",
     ).inc(getattr(sharded, "items_lost_estimate", 0))
     registry.counter(
         "runtime_command_retries_total",
@@ -335,7 +336,8 @@ def collect_service(service, registry: Optional[MetricsRegistry] = None) -> Metr
         "service_windows_closed_total", "windows closed by the window manager"
     ).inc(manager.windows_closed)
     registry.counter(
-        "service_engine_batches_total", "micro-batches handed to the engine"
+        "service_engine_batches_total",
+        "ingest handoffs to the engine (count maps per window, or micro-batches)",
     ).inc(manager.engine_batches)
     registry.counter(
         "service_reports_total", "reports in the published snapshot"

@@ -15,7 +15,7 @@ Sharding model
     :func:`repro.core.xsketch.report_order`.
 
 Protocol
-    ``ingest_batch(items)`` routes a batch into the current window;
+    ``ingest_batch(items)`` adds a batch to the current window;
     ``flush_window()`` closes the window on every shard and returns the
     merged reports (aliased as ``end_window`` / ``run_window`` so the
     coordinator quacks like every other engine); ``report()`` returns
@@ -23,13 +23,26 @@ Protocol
     snapshot; ``merged_sketch()`` compacts all shards into one
     single-process :class:`XSketch` via the mergeable fallback path.
 
+Ingest currency
+    The window-batched engines (``batched``, ``vectorized``; engine
+    capability ``counts_ingest``) only ever see a window as a
+    ``{key: count}`` map, so the coordinator keeps the open window as
+    one such map in first-arrival key order (``insert``,
+    ``ingest_batch`` and ``ingest_counts`` all fold into it).  At
+    ``flush_window`` it routes each distinct key once
+    (:meth:`KeyPartitioner.split_counts`) and sends every shard its
+    map as the payload of one ``("ingest", ...)`` command.  The
+    per-arrival ``xsketch`` engine is order-sensitive inside a window,
+    so it keeps the item-list path: batches are split per arrival and
+    dispatched as they come.
+
 Supervision (``supervised=True``, the default on the process backend)
     The coordinator holds an in-memory checkpoint of every shard, taken
     at window boundaries every ``auto_checkpoint_interval`` windows.
     When a worker exits without replying, or misses the reply deadline
     (wedged), the coordinator respawns it on fresh queues, restores the
     last checkpoint, fast-forwards it to the current window, replays
-    the batches still sitting in the dead incarnation's command queue
+    the ingest payloads still sitting in the dead incarnation's command queue
     (nothing else — data the dead process had already consumed is
     gone), resends the in-flight command, and carries on.  The loss is
     recorded honestly: ``shard_restarts``, ``items_lost_estimate`` and
@@ -48,12 +61,13 @@ import multiprocessing
 import pickle
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from queue import Empty
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import XSketchConfig
-from repro.core.engines import make_engine, validate_engine
+from repro.core.engines import COUNTS_ENGINES, make_engine, validate_engine
 from repro.core.reports import SimplexReport
 from repro.core.serialize import restore_xsketch, snapshot_xsketch
 from repro.core.xsketch import XSketch, report_order
@@ -64,10 +78,11 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import new_span_id
 from repro.runtime.faults import Fault
 from repro.runtime.partition import KeyPartitioner
-from repro.runtime.worker import WorkerReport, shard_worker_main
+from repro.runtime.worker import WorkerReport, payload_items, shard_worker_main
 
-#: insert()-path buffering: a shard's buffer is flushed to its queue
-#: once it holds this many items (ingest_batch sends immediately).
+#: insert()-path buffering of the per-arrival engine: a shard's buffer
+#: is flushed to its queue once it holds this many items (ingest_batch
+#: sends immediately; window-batched engines send at flush_window).
 DEFAULT_BATCH_SIZE = 2048
 
 #: Seconds the coordinator waits for a worker reply before declaring
@@ -145,7 +160,9 @@ class ShardedXSketch:
             ``"inline"`` (in-process shards; deterministic, no IPC).
         mp_context: multiprocessing start method for the process
             backend (``"spawn"`` by default — safe everywhere).
-        batch_size: insert()-path buffer size per shard.
+        batch_size: insert()-path buffer size per shard (per-arrival
+            engine only; the window-batched engines keep the open
+            window as one count map).
         reply_timeout: seconds to wait for worker replies before a
             non-replying but alive worker counts as wedged.
         snapshots: per-shard snapshot dicts to restore from (used by
@@ -175,8 +192,9 @@ class ShardedXSketch:
             docs/RUNTIME.md).  All shards run the same engine; restarts
             restore the engine recorded in the shard snapshot.
         temporal: a :class:`repro.temporal.store.TemporalStore` to feed
-            with the window lifecycle: every dispatched arrival goes to
-            its open-window frequency sketch, and each
+            with the window lifecycle: every dispatched payload (item
+            list or count map) goes to its open-window frequency
+            sketch, and each
             :meth:`flush_window` seals the closed window into its
             retention ladder (reports plus, inside the store's fidelity
             horizon, a full merged-sketch snapshot).  ``None`` disables
@@ -234,6 +252,9 @@ class ShardedXSketch:
         self.n_shards = n_shards
         self.seed = seed
         self.engine = engine
+        #: the shard engine takes a window as one ``{key: count}`` map
+        #: (see "Ingest currency" in the module docstring)
+        self.counts_ingest = engine in COUNTS_ENGINES
         self.backend = backend
         self.batch_size = batch_size
         self.reply_timeout = reply_timeout
@@ -262,6 +283,8 @@ class ShardedXSketch:
         self.close_errors: List[str] = []
         self._recovering = False
         self._buffers: List[List[ItemId]] = [[] for _ in range(n_shards)]
+        #: the open window of a counts-ingest engine, first-arrival order
+        self._window_counts: Counter = Counter()
         self._memory_bytes: Optional[float] = None
         self.observability = observability
         self.temporal = temporal
@@ -432,11 +455,11 @@ class ShardedXSketch:
         """Respawn one worker from its last checkpoint and resync it.
 
         Sequence: retire the old process and queues, salvage the ingest
-        batches still sitting in the dead incarnation's command queue,
+        payloads still sitting in the dead incarnation's command queue,
         spawn a fault-free replacement on fresh queues restoring the
         last auto-checkpoint, fast-forward it to the coordinator's
         window (discarding catch-up reports the merged stream already
-        has), replay the salvaged batches, and resend the command whose
+        has), replay the salvaged payloads, and resend the command whose
         reply we were waiting for.
         """
         self._recovering = True
@@ -482,12 +505,12 @@ class ShardedXSketch:
             command_queue.put(("advance", self.window))
             advance = self._collect_from(shard, "advance")
             self.reports_discarded += advance["reports_discarded"]
-            salvaged_items = sum(len(batch) for batch in salvaged)
+            salvaged_items = sum(payload_items(payload) for payload in salvaged)
             lost = max(0, self._items_since_snapshot[shard] - salvaged_items)
             self.items_lost_estimate += lost
             self._items_since_snapshot[shard] = salvaged_items
-            for batch in salvaged:
-                command_queue.put(("ingest", batch))
+            for payload in salvaged:
+                command_queue.put(("ingest", payload))
             if resend_kind in _RESEND_COMMANDS:
                 command_queue.put(_RESEND_COMMANDS[resend_kind])
                 self.command_retries += 1
@@ -502,8 +525,8 @@ class ShardedXSketch:
         finally:
             self._recovering = False
 
-    def _drain_salvageable(self, shard: int) -> List[List[ItemId]]:
-        """Ingest batches still queued for a dead worker (best effort).
+    def _drain_salvageable(self, shard: int) -> List:
+        """Ingest payloads still queued for a dead worker (best effort).
 
         The dead incarnation never consumed these, so the replacement
         can legitimately replay them.  Control commands are dropped (the
@@ -522,7 +545,7 @@ class ShardedXSketch:
         leave a truncated message, and anything unreadable past it is
         simply counted as lost.
         """
-        salvaged: List[List[ItemId]] = []
+        salvaged: List = []
         reader = getattr(self._command_queues[shard], "_reader", None)
         if reader is None:  # pragma: no cover - defensive
             return salvaged
@@ -585,7 +608,11 @@ class ShardedXSketch:
     # stream protocol
 
     def insert(self, item: ItemId) -> None:
-        """Route one arrival (buffered; flushed by size or at flush_window)."""
+        """Add one arrival (buffered; flushed by size or at flush_window)."""
+        if self.counts_ingest:
+            self._check_open()
+            self._window_counts[item] += 1
+            return
         shard = self.partitioner.shard_of(item)
         buffer = self._buffers[shard]
         buffer.append(item)
@@ -594,26 +621,63 @@ class ShardedXSketch:
             self._buffers[shard] = []
 
     def ingest_batch(self, items: Sequence[ItemId]) -> None:
-        """Route a batch of arrivals into the current window."""
+        """Add a batch of arrivals to the current window."""
+        if self.counts_ingest:
+            self._check_open()
+            self._window_counts.update(items)
+            return
         for shard, part in enumerate(self.partitioner.split(items)):
             if part:
                 self._dispatch(shard, part)
 
-    def _dispatch(self, shard: int, items: List[ItemId]) -> None:
+    def ingest_counts(self, counts: Mapping[ItemId, int]) -> None:
+        """Add a ``{key: count}`` map (first-arrival key order) to the
+        current window.  Window-batched engines only: the per-arrival
+        engine needs the arrivals themselves."""
+        if not self.counts_ingest:
+            raise ConfigurationError(
+                f"engine {self.engine!r} is order-sensitive within a window "
+                "and ingests arrival lists; use ingest_batch()"
+            )
+        self._check_open()
+        self._window_counts.update(counts)
+
+    def _check_open(self) -> None:
         if self._closed:
             raise RuntimeShardError("ShardedXSketch is closed")
-        self.items_routed[shard] += len(items)
+
+    def _dispatch(self, shard: int, payload) -> None:
+        """Send one shard its ``ingest`` payload (item list or count map)."""
+        self._check_open()
+        n_items = payload_items(payload)
+        self.items_routed[shard] += n_items
         self.batches_sent[shard] += 1
         self._merged_cache = None
         if self.temporal is not None:
-            self.temporal.observe_items(items)
+            if self.counts_ingest:
+                self.temporal.observe_counts(payload)
+            else:
+                self.temporal.observe_items(payload)
         if self.backend == "inline":
+            sketch = self._locals[shard]
             start = time.perf_counter()
-            self._locals[shard].ingest_batch(items)
+            if self.counts_ingest:
+                sketch.ingest_counts(payload)
+            else:
+                sketch.ingest_batch(payload)
             self._inline_busy[shard] += time.perf_counter() - start
         else:
-            self._items_since_snapshot[shard] += len(items)
-            self._command_queues[shard].put(("ingest", items))
+            self._items_since_snapshot[shard] += n_items
+            self._command_queues[shard].put(("ingest", payload))
+
+    def _route_window(self) -> None:
+        """Route the open window's count map, each distinct key once."""
+        counts, self._window_counts = self._window_counts, Counter()
+        if not counts:
+            return
+        for shard, part in enumerate(self.partitioner.split_counts(counts)):
+            if part:
+                self._dispatch(shard, part)
 
     def _flush_buffers(self) -> None:
         for shard, buffer in enumerate(self._buffers):
@@ -684,6 +748,7 @@ class ShardedXSketch:
         if self.backend == "inline":
             merged: List[SimplexReport] = []
             with self.profiler.phase("shard"):
+                self._route_window()
                 for shard, sketch in enumerate(self._locals):
                     start = time.perf_counter()
                     reports = sketch.end_window()
@@ -706,6 +771,7 @@ class ShardedXSketch:
             else ("end_window",)
         )
         with self.profiler.phase("dispatch"):
+            self._route_window()
             self._broadcast(command)
         with self.profiler.phase("shard"):
             payloads = self._collect("end_window")
@@ -887,13 +953,17 @@ class ShardedXSketch:
     # ------------------------------------------------------------------
     # checkpoint / compaction
 
+    def _require_boundary(self) -> None:
+        """Refuse while the open window holds arrivals not yet closed."""
+        if self._window_counts or any(self._buffers):
+            raise RuntimeShardError(
+                "snapshot only at a window boundary (open-window arrivals "
+                "not yet flushed); call flush_window() first"
+            )
+
     def _collect_snapshots(self) -> List[Dict]:
         """Per-shard snapshots at the current window boundary."""
-        if any(self._buffers[shard] for shard in range(self.n_shards)):
-            raise RuntimeShardError(
-                "snapshot only at a window boundary (insert buffers not empty); "
-                "call flush_window() first"
-            )
+        self._require_boundary()
         if self.backend == "inline":
             return [snapshot_xsketch(sketch) for sketch in self._locals]
         self._broadcast(("checkpoint",))
@@ -935,11 +1005,7 @@ class ShardedXSketch:
         auto-checkpoint already holds fresh per-shard snapshots at this
         boundary they are reused instead of a second snapshot round-trip.
         """
-        if any(self._buffers):
-            raise RuntimeShardError(
-                "snapshot only at a window boundary (insert buffers not empty); "
-                "call flush_window() first"
-            )
+        self._require_boundary()
         if self._merged_cache is not None and self._merged_cache[0] == self.window:
             self.merged_cache_hits += 1
             merged = self._merged_cache[1]

@@ -18,8 +18,13 @@ replies from a dead incarnation can never be misread as current ones.
 Command protocol (tuples on ``command_queue``; replies on the worker's
 ``result_queue`` are ``(kind, shard_id, payload)``):
 
-``("ingest", items)``
-    Insert a batch into the current window.  No reply (pipelined).
+``("ingest", payload)``
+    Add arrivals to the current window.  No reply (pipelined).  For the
+    window-batched engines (``counts_ingest``) the payload is the
+    shard's ``{key: count}`` map of the whole window, in first-arrival
+    key order: the coordinator routes at window close, so a shard gets
+    one ``ingest`` per window, right before ``end_window``.  For the
+    per-arrival engine it is a list of arrivals, sent as they are routed.
 ``("end_window",)`` / ``("end_window", span_ctx)``
     Close the window; replies ``("end_window", shard, reports)``.  With
     a span context dict (the coordinator's wire
@@ -70,6 +75,11 @@ from repro.core.engines import make_engine
 from repro.core.serialize import restore_xsketch, snapshot_xsketch
 from repro.core.xsketch import XSketchStats
 from repro.runtime.faults import Fault, FaultInjector
+
+
+def payload_items(payload) -> int:
+    """Arrivals carried by one ``ingest`` payload (count map or list)."""
+    return sum(payload.values()) if isinstance(payload, dict) else len(payload)
 
 
 @dataclass(frozen=True)
@@ -163,11 +173,14 @@ def shard_worker_main(
             if injector is not None:
                 injector.on_command(op, window_at_receipt)
             if op == "ingest":
-                items = command[1]
+                payload = command[1]
                 start = perf_counter()
-                sketch.ingest_batch(items)
+                if isinstance(payload, dict):
+                    sketch.ingest_counts(payload)
+                else:
+                    sketch.ingest_batch(payload)
                 busy_seconds += perf_counter() - start
-                items_ingested += len(items)
+                items_ingested += payload_items(payload)
                 batches += 1
             elif op == "end_window":
                 span_ctx = command[1] if len(command) > 1 else None

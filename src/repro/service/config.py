@@ -31,9 +31,13 @@ class ServiceConfig:
             ticker closes the open window every ``window_seconds`` even
             if it has fewer than ``window_size`` items (idle ticks with
             a completely empty window are skipped).
-        micro_batch: ingest coalescing: arrivals are buffered and handed
-            to the engine in ``ingest_batch`` calls of at most this many
-            items (window boundaries always force a flush).
+        micro_batch: ingest coalescing for the per-arrival engine only:
+            arrivals are buffered and handed to it in ``ingest_batch``
+            calls of at most this many items (window boundaries always
+            force a flush).  Engines with the ``counts_ingest``
+            capability (the window-batched ``batched`` / ``vectorized``
+            engines, sharded or not) get one ``{key: count}`` map per
+            window instead.
         queue_batches: per-connection queue capacity, counted in wire
             batches.  This is the overload bound: a connection can never
             hold more than ``queue_batches`` unprocessed frames.

@@ -6,8 +6,17 @@ one asyncio lock, off the event loop via ``asyncio.to_thread`` so a
 process-backend barrier never stalls the HTTP listener.  Around the
 engine it adds:
 
+window count maps
+    For engines with the ``counts_ingest`` capability (the
+    window-batched ``batched`` / ``vectorized`` engines, and the sharded
+    runtime running them) wire batches are folded into one
+    ``{key: count}`` map per window with ``Counter.update``, inline on
+    the event loop, and the engine gets that map once, on the window
+    close hop the manager makes anyway.
+
 micro-batching
-    Wire batches are coalesced into a pending buffer and handed to the
+    For every other engine (the order-sensitive per-arrival engine),
+    wire batches are coalesced into a pending buffer and handed to the
     engine in ``ingest_batch`` calls of at most ``micro_batch`` items.
 
 count/tick window advance
@@ -30,9 +39,10 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.reports import SimplexReport
 from repro.errors import ServiceError
@@ -61,12 +71,17 @@ class EngineAdapter:
     Engines must provide ``insert``/``end_window`` (single-process) or
     ``ingest_batch``/``flush_window`` (sharded); ``reports``,
     ``checkpoint``/``close``/``stats`` are optional and degrade
-    gracefully.
+    gracefully.  An engine that sets ``counts_ingest`` must also provide
+    ``ingest_counts`` and is handed one ``{key: count}`` map per window.
     """
 
     def __init__(self, engine):
         self.engine = engine
         self._batch_ingest = getattr(engine, "ingest_batch", None)
+        #: explicit capability, not method presence: the sharded runtime
+        #: has ``ingest_counts`` whatever its shard engine, but only the
+        #: window-batched engines may take a window as a count map
+        self.counts_ingest = bool(getattr(engine, "counts_ingest", False))
 
     def ingest_batch(self, items: Sequence[ItemId]) -> None:
         if self._batch_ingest is not None:
@@ -172,8 +187,9 @@ class WindowManager:
     already owns one (``ShardedXSketch(temporal=...)``), the engine
     feeds it at its own window boundaries and the manager only exposes
     it for queries; otherwise the manager feeds the store itself —
-    arrivals on ingest, reports (plus a single-sketch snapshot inside
-    the store's fidelity horizon) at each window close.  Either way the
+    arrivals with each engine handoff (the window's count map, or each
+    micro-batch), reports (plus a single-sketch snapshot inside the
+    store's fidelity horizon) at each window close.  Either way the
     feed happens on the engine-lock thread, so temporal queries read a
     published store snapshot and never contend with ingest.
     """
@@ -194,9 +210,12 @@ class WindowManager:
         )
         self._lock = asyncio.Lock()
         self._pending: List[ItemId] = []
+        #: the open window as a count map (counts-ingest engines only)
+        self._window_counts: Counter = Counter()
         #: items already in the open window (pending + handed to engine)
         self.items_window = 0
         self.items_total = 0
+        #: engine handoffs: micro-batches, or one count map per window
         self.engine_batches = 0
         self.windows_closed = 0
         #: always-on service-side registry (wire-batch granularity only,
@@ -300,6 +319,7 @@ class WindowManager:
             await self._admit(seq)
             wait_dur = time.perf_counter() - wait_start
         frame_parent: Optional[dict] = None
+        counts_ingest = self.adapter.counts_ingest
         try:
             async with self._lock:
                 offset = 0
@@ -310,11 +330,14 @@ class WindowManager:
                     if frame_parent is None:
                         frame_parent = state
                     offset += len(chunk)
-                    self._pending.extend(chunk)
                     self.items_window += len(chunk)
                     self.items_total += len(chunk)
-                    if len(self._pending) >= self.micro_batch:
-                        await self._ingest_pending()
+                    if counts_ingest:
+                        self._window_counts.update(chunk)
+                    else:
+                        self._pending.extend(chunk)
+                        if len(self._pending) >= self.micro_batch:
+                            await self._ingest_pending()
                     if self.items_window >= self.window_size:
                         await self._close_window_locked()
         finally:
@@ -365,9 +388,12 @@ class WindowManager:
             if tracer is not None else None
         )
         await self._ingest_pending()
+        counts, self._window_counts = self._window_counts, Counter()
+        if counts:
+            self.engine_batches += 1
         with self.profiler.phase("flush"):
             await asyncio.to_thread(
-                self._engine_flush, self.windows_closed, root_ctx
+                self._engine_flush, self.windows_closed, root_ctx, counts
             )
         self.windows_closed += 1
         self.items_window = 0
@@ -423,7 +449,12 @@ class WindowManager:
                 items=self.snapshot.items_at_boundary,
             )
 
-    def _engine_flush(self, closed_window: int, span_ctx=None) -> List[SimplexReport]:
+    def _engine_flush(self, closed_window: int, span_ctx=None,
+                      counts: Optional[Mapping[ItemId, int]] = None) -> List[SimplexReport]:
+        if counts:
+            if self._feed_temporal:
+                self.temporal.observe_counts(counts)
+            self.adapter.engine.ingest_counts(counts)
         tracer = self.tracer
         if tracer is not None and span_ctx is not None:
             with tracer.span("window.flush", parent=span_ctx,

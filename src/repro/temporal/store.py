@@ -2,9 +2,10 @@
 
 The store subscribes to the engine's window lifecycle:
 
-``observe_items(items)``
-    called from the ingest path (once per arrival batch); feeds the
-    currently-open window's frequency sketch.
+``observe_items(items)`` / ``observe_counts(counts)``
+    called from the ingest path (once per arrival batch, or once per
+    ``{key: count}`` map); feeds the currently-open window's frequency
+    sketch with one weighted insert per distinct key.
 ``on_window(window, reports, snapshot_fn=None)``
     called at each window boundary with that window's freshly merged
     simplex reports.  Seals the open frequency sketch into a level-0
@@ -24,7 +25,8 @@ service's event loop while the engine thread keeps ingesting.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compat import FrozenSlots
 from repro.core.reports import SimplexReport
@@ -118,16 +120,28 @@ class TemporalStore:
     # ingest side (engine thread)
 
     def observe_items(self, items: Sequence) -> None:
-        """Feed the open window's frequency sketch (ingest hot path)."""
+        """Feed a batch of arrivals to the open window's frequency sketch."""
+        self.observe_counts(Counter(items))
+
+    def observe_counts(self, counts: Mapping) -> None:
+        """Feed a ``{key: count}`` map to the open window's frequency
+        sketch (ingest hot path).
+
+        One weighted Count-Min insert per distinct key: CM is linear and
+        its saturating adds commute, so the counters equal those of one
+        insert per arrival.
+        """
         if self._open_freq is None:
             self._open_freq = make_freq_sketch(
                 self.policy, self.seed, self.hash_family
             )
-        freq = self._open_freq
-        for item in items:
-            freq.insert(item)
-        self._open_items += len(items)
-        self.items_observed += len(items)
+        insert = self._open_freq.insert
+        total = 0
+        for item, count in counts.items():
+            insert(item, count)
+            total += count
+        self._open_items += total
+        self.items_observed += total
 
     def on_window(
         self,

@@ -161,3 +161,42 @@ class TestVectorizedSnapshot:
         sketch.insert("x")  # buffer non-empty
         with pytest.raises(ConfigurationError):
             snapshot_xsketch(sketch)
+
+
+class TestSnapshotEncoding:
+    """The snapshot builds counters with ``tolist()`` and reports as
+    direct field dicts; both must equal the per-element conversion and
+    ``dataclasses.asdict`` they replace, as dicts and as JSON bytes."""
+
+    @staticmethod
+    def _reference(sketch):
+        import dataclasses
+
+        from repro.core.serialize import _counter_arrays_of
+        from repro.core.vectorized import VectorizedXSketch
+
+        if isinstance(sketch, VectorizedXSketch):
+            arrays = [[int(v) for v in level.reshape(-1)] for level in sketch.tower.levels]
+        else:
+            arrays = [list(array) for array in _counter_arrays_of(sketch.stage1.filter)]
+        reports = [dataclasses.asdict(report) for report in sketch.reports]
+        return arrays, reports
+
+    @pytest.mark.parametrize("engine", ["xsketch", "batched", "vectorized"])
+    def test_snapshot_equals_per_element_conversion(self, engine):
+        import json
+
+        from repro.core.engines import make_engine
+
+        config = XSketchConfig(task=SimplexTask.paper_default(1), memory_kb=20.0)
+        sketch = make_engine(config, seed=9, engine=engine)
+        for window in make_dataset("ip_trace", n_windows=16, window_size=500, seed=4).windows():
+            sketch.run_window(window)
+        assert sketch.reports
+        snapshot = snapshot_xsketch(sketch)
+        arrays, reports = self._reference(sketch)
+        assert snapshot["stage1_arrays"] == arrays
+        assert all(type(v) is int for level in snapshot["stage1_arrays"] for v in level)
+        assert snapshot["reports"] == reports
+        old = dict(snapshot, stage1_arrays=arrays, reports=reports)
+        assert json.dumps(snapshot) == json.dumps(old)

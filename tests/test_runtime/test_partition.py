@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -77,3 +79,16 @@ def test_spec_roundtrip():
 def test_invalid_shard_count_rejected():
     with pytest.raises(ConfigurationError):
         KeyPartitioner(0)
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_split_counts_routes_like_split(n_shards):
+    """Per-shard count maps equal ``Counter`` of the per-arrival split,
+    keys in first-arrival order."""
+    partitioner = KeyPartitioner(n_shards, seed=2)
+    items = [f"k{(i * 7) % 53}" for i in range(600)]
+    parts = partitioner.split_counts(Counter(items))
+    assert len(parts) == n_shards
+    for part, items_part in zip(parts, partitioner.split(items)):
+        assert type(part) is dict
+        assert list(part.items()) == list(Counter(items_part).items())

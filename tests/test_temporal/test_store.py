@@ -275,6 +275,61 @@ class TestLifecycle:
             frozen.tip = 99
 
 
+class TestWeightedObserve:
+    """``observe_items`` / ``observe_counts`` do one weighted CM insert
+    per distinct key; the counters must equal one insert per arrival."""
+
+    @staticmethod
+    def _per_item(batches, preset=None):
+        freq = make_freq_sketch(TemporalPolicy(freq_memory_kb=1.0), SEED)
+        if preset is not None:
+            preset(freq)
+        for batch in batches:
+            for item in batch:
+                freq.insert(item)
+        return [list(array) for array in freq.arrays]
+
+    @staticmethod
+    def _open_arrays(store):
+        return [list(array) for array in store._open_freq.arrays]
+
+    def test_arrays_identical_to_per_item_inserts(self):
+        from collections import Counter
+
+        batches = seeded_windows(windows=4)
+        by_items = TemporalStore(TemporalPolicy(freq_memory_kb=1.0), seed=SEED)
+        by_counts = TemporalStore(TemporalPolicy(freq_memory_kb=1.0), seed=SEED)
+        for batch in batches:
+            by_items.observe_items(batch)
+            by_counts.observe_counts(Counter(batch))
+        expected = self._per_item(batches)
+        assert self._open_arrays(by_items) == expected
+        assert self._open_arrays(by_counts) == expected
+        total = sum(len(batch) for batch in batches)
+        assert by_items.items_observed == by_counts.items_observed == total
+        by_counts.on_window(0, [])
+        assert by_counts.snapshot.nodes[0].items == total
+
+    def test_saturating_counters_identical(self):
+        """Saturating adds commute: a weighted insert that crosses the
+        32-bit ceiling lands exactly where repeated +1s would."""
+
+        def near_ceiling(freq):
+            for array in freq.arrays:
+                for index in range(array.size):
+                    array.set(index, array.max_value - 3)
+
+        batch = ["hot"] * 9 + ["cold"] + ["hot"] * 2
+        store = TemporalStore(TemporalPolicy(freq_memory_kb=1.0), seed=SEED)
+        store._open_freq = make_freq_sketch(store.policy, SEED)
+        near_ceiling(store._open_freq)
+        store.observe_items(batch)
+        expected = self._per_item([batch], preset=near_ceiling)
+        assert self._open_arrays(store) == expected
+        ceiling = store._open_freq.arrays[0].max_value
+        assert store._open_freq.query("hot") == ceiling
+
+
 class TestQueryHelpers:
     def test_parse_range(self):
         assert parse_range("3:9") == RangeQuery(3, 9)
